@@ -349,8 +349,14 @@ func TestFleetDroppedResultResponseDeduped(t *testing.T) {
 	if len(st.Results) != st.CasesTotal {
 		t.Fatalf("%d results for %d cases", len(st.Results), st.CasesTotal)
 	}
-	if dup := srv.fleet.Snapshot().DuplicateResults; dup == 0 {
-		t.Fatal("retried post after a dropped response was not counted as a duplicate")
+	// The first post completed the request; the worker's retry of it
+	// arrives one poll interval later, so wait for that event.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.fleet.Snapshot().DuplicateResults == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("retried post after a dropped response was not counted as a duplicate")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if st.Table == nil {
 		t.Fatal("no decoded table")

@@ -573,9 +573,7 @@ func (s *server) deadline(ctx context.Context, timeoutMS int64) (context.Context
 
 func (s *server) reply(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.errors.Add(1)
 	}
 }

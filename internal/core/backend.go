@@ -100,6 +100,7 @@ type Behavioral struct {
 
 	spec layout.Spec
 	mat  material.Params
+	fp   string // memoized Fingerprint
 }
 
 // NewBehavioral builds a behavioral backend for the gate. The wave number
@@ -134,7 +135,9 @@ func NewBehavioral(kind GateKind, spec layout.Spec, mat material.Params, opts ..
 		return nil, err
 	}
 	net.JunctionLoss = cfg.junctionLoss
-	return &Behavioral{kind: kind, L: l, Net: net, spec: spec, mat: mat}, nil
+	b := &Behavioral{kind: kind, L: l, Net: net, spec: spec, mat: mat}
+	b.fp = b.fingerprint()
+	return b, nil
 }
 
 // Name implements Backend.
@@ -213,10 +216,15 @@ func (b *Behavioral) RunSingleContext(ctx context.Context, name string) (map[str
 }
 
 // Fingerprint implements Fingerprinter: a canonical hash of the gate
-// kind, geometry, material, and phasor-network tuning.
-func (b *Behavioral) Fingerprint() (string, bool) {
+// kind, geometry, material, and phasor-network tuning, computed once at
+// construction (tune the network through the BehavioralOptions, not by
+// editing Net afterwards).
+func (b *Behavioral) Fingerprint() (string, bool) { return b.fp, true }
+
+// fingerprint computes the canonical hash Fingerprint reports.
+func (b *Behavioral) fingerprint() string {
 	return hashKey(fmt.Sprintf("behavioral/v1|%d|%+v|%+v|loss=%g|att=%g",
-		int(b.kind), b.spec, b.mat, b.Net.JunctionLoss, b.Net.AttLength)), true
+		int(b.kind), b.spec, b.mat, b.Net.JunctionLoss, b.Net.AttLength))
 }
 
 func cabs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }

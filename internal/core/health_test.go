@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"spinwave/internal/checkpoint"
 	"spinwave/internal/health"
 	"spinwave/internal/journal"
 	"spinwave/internal/layout"
@@ -178,5 +181,47 @@ func TestHealthExcludedFromFingerprint(t *testing.T) {
 	scaled.DtScale = 0.5
 	if mk(scaled) == plain {
 		t.Error("DtScale not reflected in the fingerprint")
+	}
+}
+
+// TestResumedSegmentHealthy runs a healthy XOR case as two checkpointed
+// segments under full monitoring. Both segments must report healthy: the
+// resumed segment's monitor first sees the restored step, which is no
+// integrator step, so it must not read the whole elapsed time as one
+// huge first dt and then call every real step a collapse.
+func TestResumedSegmentHealthy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("micromagnetic integration test")
+	}
+	backend := func(cc checkpoint.Config) *Micromagnetic {
+		m, err := NewMicromagnetic(XOR, MicromagConfig{
+			Spec:       layout.ReducedSpec(),
+			Mat:        material.FeCoB(),
+			Health:     health.Config{Enabled: true},
+			Checkpoint: cc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	run := func(m *Micromagnetic, runID string) error {
+		_, err := m.RunContext(journal.WithRunID(context.Background(), runID), []bool{true, false})
+		return err
+	}
+	dir := t.TempDir()
+	base := backend(checkpoint.Config{})
+	stopAt := int(base.Duration()/base.Dt()) / 2
+	if err := run(backend(checkpoint.Config{Dir: dir, EverySteps: 500, StopAtStep: stopAt}), "rseg-first"); !errors.Is(err, checkpoint.ErrPaused) {
+		t.Fatalf("first segment: %v, want ErrPaused", err)
+	}
+	if err := run(backend(checkpoint.Config{Dir: dir, EverySteps: 500, Resume: true}), "rseg-resumed"); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []string{"rseg-first", "rseg-resumed"} {
+		rep, ok := health.Default().Get(run)
+		if !ok || rep.Verdict != health.Healthy.String() || len(rep.Alerts) != 0 {
+			t.Errorf("%s: health report %+v ok=%v, want healthy with no alerts", run, rep, ok)
+		}
 	}
 }

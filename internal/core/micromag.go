@@ -156,6 +156,7 @@ type Micromagnetic struct {
 
 	dt       float64
 	duration float64
+	fp       string // memoized Fingerprint; "" when uncacheable
 }
 
 // NewMicromagnetic prepares the backend (mesh, region, timing). It does
@@ -218,7 +219,7 @@ func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, er
 	travel := (b.Width() + b.Height()) / vg
 	duration := cfg.RampPeriods*period + cfg.SettleFactor*travel + float64(cfg.MeasurePeriods+1)*period
 
-	return &Micromagnetic{
+	m := &Micromagnetic{
 		kind:     kind,
 		cfg:      cfg,
 		L:        l,
@@ -228,7 +229,9 @@ func NewMicromagnetic(kind GateKind, opts ...MicromagOption) (*Micromagnetic, er
 		Vg:       vg,
 		dt:       dt,
 		duration: duration,
-	}, nil
+	}
+	m.fp = m.fingerprint()
+	return m, nil
 }
 
 // Name implements Backend.
@@ -242,24 +245,6 @@ func (m *Micromagnetic) Duration() float64 { return m.duration }
 
 // Dt returns the solver time step.
 func (m *Micromagnetic) Dt() float64 { return m.dt }
-
-// nodeCells returns the material cells within radius of the node position.
-func (m *Micromagnetic) nodeCells(n layout.Node, radius float64) []int {
-	var cells []int
-	for j := 0; j < m.Mesh.Ny; j++ {
-		for i := 0; i < m.Mesh.Nx; i++ {
-			idx := m.Mesh.Idx(i, j)
-			if !m.Region[idx] {
-				continue
-			}
-			x, y := m.Mesh.CellCenter(i, j)
-			if math.Hypot(x-n.Pos.X, y-n.Pos.Y) <= radius {
-				cells = append(cells, idx)
-			}
-		}
-	}
-	return cells
-}
 
 // newSolver builds a fresh solver with absorbers and the input antennas
 // configured for the given input levels. Inputs whose name appears in
@@ -297,7 +282,8 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool) (*llg.Sol
 		if err != nil {
 			return nil, nil, err
 		}
-		cells := m.nodeCells(m.L.Nodes[ni], rAnt)
+		pos := m.L.Nodes[ni].Pos
+		cells := m.Region.DiscCells(m.Mesh, pos.X, pos.Y, rAnt)
 		if len(cells) == 0 {
 			return nil, nil, fmt.Errorf("core: antenna %s has no cells", name)
 		}
@@ -326,7 +312,7 @@ func (m *Micromagnetic) newSolver(inputs []bool, mute map[string]bool) (*llg.Sol
 	probes := make(map[string]*detect.Probe)
 	for _, oi := range m.L.Outputs() {
 		n := m.L.Nodes[oi]
-		cells := m.nodeCells(n, rAnt)
+		cells := m.Region.DiscCells(m.Mesh, n.Pos.X, n.Pos.Y, rAnt)
 		if len(cells) == 0 {
 			return nil, nil, fmt.Errorf("core: probe %s has no cells", n.Name)
 		}
@@ -352,21 +338,34 @@ func (m *Micromagnetic) RunContext(ctx context.Context, inputs []bool) (map[stri
 }
 
 // Fingerprint implements Fingerprinter: a canonical hash of the gate
-// kind and the full micromagnetic config. A backend with a RegionMutator
-// hook has no canonical identity and reports ok = false (uncacheable).
-// The stepping worker count is excluded — trajectories are bit-identical
-// for any value; the reference-stepper flag is included because the
-// fused and reference cores differ at floating-point round-off.
-func (m *Micromagnetic) Fingerprint() (string, bool) {
+// kind and the full micromagnetic config, computed once at construction
+// (and again whenever CalibrateI3 changes the trim). A backend with a
+// RegionMutator hook has no canonical identity and reports ok = false
+// (uncacheable).
+func (m *Micromagnetic) Fingerprint() (string, bool) { return m.fp, m.fp != "" }
+
+// fingerprint computes the canonical hash Fingerprint reports, or "" for
+// a backend with a RegionMutator hook. The stepping worker count is
+// excluded — trajectories are bit-identical for any value; the
+// reference-stepper flag is included because the fused and reference
+// cores differ at floating-point round-off.
+func (m *Micromagnetic) fingerprint() string {
 	if m.cfg.RegionMutator != nil {
-		return "", false
+		return ""
 	}
 	c := m.cfg
 	return hashKey(fmt.Sprintf("micromag/v1|%d|%+v|%+v|cell=%g|drive=%g|ramp=%g|meas=%d|settle=%g|sample=%d|alpha=%g|scheme=%d|T=%g|seed=%d|trim=%g|ref=%t|dts=%g",
 		int(m.kind), c.Spec, c.Mat, c.CellSize, c.DriveField, c.RampPeriods,
 		c.MeasurePeriods, c.SettleFactor, c.SampleEvery, c.MaxAlpha,
 		int(c.Scheme), c.Temperature, c.Seed, c.I3PhaseTrim,
-		c.UseReferenceStepper, c.DtScale)), true
+		c.UseReferenceStepper, c.DtScale))
+}
+
+// setI3Trim sets the I3 drive phase trim and refreshes the memoized
+// fingerprint, which covers it.
+func (m *Micromagnetic) setI3Trim(trim float64) {
+	m.cfg.I3PhaseTrim = trim
+	m.fp = m.fingerprint()
 }
 
 // RunSingle excites only the named input at logic 0 and measures the
@@ -420,19 +419,19 @@ func (m *Micromagnetic) CalibrateI3() (float64, error) {
 		return 0, fmt.Errorf("core: %s has no I3 to calibrate", m.kind)
 	}
 	prev := m.cfg.I3PhaseTrim
-	m.cfg.I3PhaseTrim = 0
+	m.setI3Trim(0)
 	r1, err := m.RunSingle("I1")
 	if err != nil {
-		m.cfg.I3PhaseTrim = prev
+		m.setI3Trim(prev)
 		return 0, err
 	}
 	r3, err := m.RunSingle("I3")
 	if err != nil {
-		m.cfg.I3PhaseTrim = prev
+		m.setI3Trim(prev)
 		return 0, err
 	}
 	trim := dsp.PhaseDiff(r1["O1"].Phase, r3["O1"].Phase)
-	m.cfg.I3PhaseTrim = trim
+	m.setI3Trim(trim)
 	return trim, nil
 }
 

@@ -188,3 +188,23 @@ func TestMicromagConfigDefaults(t *testing.T) {
 		t.Errorf("explicit drive overridden: %g", c2.DriveField)
 	}
 }
+
+// BenchmarkNewMicromagnetic times backend construction on the reduced
+// device: layout, mesh, rasterization, dispersion and timing. swserve
+// builds one backend per micromagnetic request, so this is on the
+// served path even when the answer comes from a cache.
+func BenchmarkNewMicromagnetic(b *testing.B) {
+	for _, g := range []struct {
+		name string
+		kind GateKind
+	}{{"xor", XOR}, {"maj3", MAJ3}} {
+		b.Run(g.name, func(b *testing.B) {
+			cfg := MicromagConfig{Spec: layout.ReducedSpec(), Mat: material.FeCoB()}
+			for i := 0; i < b.N; i++ {
+				if _, err := NewMicromagnetic(g.kind, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

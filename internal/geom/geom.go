@@ -278,9 +278,24 @@ func (t translate) Bounds() BBox {
 }
 
 // Rasterize marks every mesh cell whose center lies inside the shape.
+//
+// A union is rasterized member by member, each over the cells of its own
+// bounding box (padded by one cell) only, so a gate made of many thin
+// waveguide arms costs the arms' area rather than arms × mesh. Membership
+// is still decided by each member's Contains, so the region is the same
+// cell for cell as testing the whole union at every cell.
 func Rasterize(m grid.Mesh, s Shape) grid.Region {
 	r := grid.NewRegion(m)
-	b := s.Bounds()
+	rasterizeInto(r, m, s, cellRange(m, s.Bounds()))
+	return r
+}
+
+// cellBox is an inclusive range of mesh cells [I0, I1] × [J0, J1].
+type cellBox struct{ I0, J0, I1, J1 int }
+
+// cellRange returns the cells whose centers can lie in box b, clamped to
+// the mesh.
+func cellRange(m grid.Mesh, b BBox) cellBox {
 	i0, j0, ok0 := m.CellAt(math.Max(b.Min.X, 0), math.Max(b.Min.Y, 0))
 	if !ok0 {
 		i0, j0 = 0, 0
@@ -289,15 +304,35 @@ func Rasterize(m grid.Mesh, s Shape) grid.Region {
 	if !ok1 {
 		i1, j1 = m.Nx-1, m.Ny-1
 	}
-	for j := j0; j <= j1; j++ {
-		for i := i0; i <= i1; i++ {
+	return cellBox{i0, j0, i1, j1}
+}
+
+// rasterizeInto sets every cell of c not yet set in r whose center s
+// contains. A union recurses into its members, each over the part of c
+// its own padded bounding box covers.
+func rasterizeInto(r grid.Region, m grid.Mesh, s Shape, c cellBox) {
+	if u, ok := s.(union); ok {
+		pad := math.Max(m.Dx, m.Dy)
+		for _, member := range u.shapes {
+			mc := cellRange(m, member.Bounds().Pad(pad))
+			mc.I0, mc.J0 = max(mc.I0, c.I0), max(mc.J0, c.J0)
+			mc.I1, mc.J1 = min(mc.I1, c.I1), min(mc.J1, c.J1)
+			rasterizeInto(r, m, member, mc)
+		}
+		return
+	}
+	for j := c.J0; j <= c.J1; j++ {
+		row := j * m.Nx
+		for i := c.I0; i <= c.I1; i++ {
+			if r[row+i] {
+				continue
+			}
 			x, y := m.CellCenter(i, j)
 			if s.Contains(x, y) {
-				r[m.Idx(i, j)] = true
+				r[row+i] = true
 			}
 		}
 	}
-	return r
 }
 
 // MirrorY returns p reflected about the horizontal line y = axis.

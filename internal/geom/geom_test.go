@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -228,5 +229,65 @@ func TestRasterizeOutOfMesh(t *testing.T) {
 func TestMirrorY(t *testing.T) {
 	if got := MirrorY(P(3, 1), 2); got != P(3, 3) {
 		t.Errorf("MirrorY = %v", got)
+	}
+}
+
+// wholeMeshRegion is the reference rasterizer: s tested at every cell.
+func wholeMeshRegion(m grid.Mesh, s Shape) grid.Region {
+	r := grid.NewRegion(m)
+	for j := 0; j < m.Ny; j++ {
+		for i := 0; i < m.Nx; i++ {
+			x, y := m.CellCenter(i, j)
+			r[m.Idx(i, j)] = s.Contains(x, y)
+		}
+	}
+	return r
+}
+
+// TestRasterizeUnionMatchesWholeMesh is the property behind per-member
+// union rasterization: for random capsule unions — arms whose edges pass
+// exactly W/2 from rows and columns of cell centers, diagonal arms, arms
+// leaving the mesh, degenerate arms, nested unions and non-capsule
+// members — the region equals testing the whole union at every cell.
+func TestRasterizeUnionMatchesWholeMesh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		dx := []float64{1, 0.5, 5e-9, 55e-9 / 11}[trial%4]
+		m := grid.MustMesh(8+rng.Intn(40), 8+rng.Intn(40), dx, dx, dx)
+		center := func() float64 { return (float64(rng.Intn(m.Nx)) + 0.5) * dx }
+		var shapes []Shape
+		for k := 0; k < 1+rng.Intn(10); k++ {
+			w := float64(1+rng.Intn(6)) * dx
+			switch rng.Intn(5) {
+			case 0: // horizontal arm whose edge passes exactly through a center row
+				y := (float64(rng.Intn(m.Ny))+0.5)*dx + w/2
+				shapes = append(shapes, Capsule{A: P(center(), y), B: P(center(), y), W: w})
+			case 1: // vertical arm whose edge passes exactly through a center column
+				x := (float64(rng.Intn(m.Nx))+0.5)*dx - w/2
+				shapes = append(shapes, Capsule{A: P(x, center()), B: P(x, center()+3*dx), W: w})
+			case 2: // arbitrary arm, possibly reaching past the mesh edges
+				p := func() Point {
+					return P((rng.Float64()*1.4-0.2)*m.SizeX(), (rng.Float64()*1.4-0.2)*m.SizeY())
+				}
+				shapes = append(shapes, Capsule{A: p(), B: p(), W: w})
+			case 3: // degenerate arm on a cell center: a disc of radius W/2
+				c := P(center(), center())
+				shapes = append(shapes, Capsule{A: c, B: c, W: w})
+			default: // nested union with non-capsule members
+				c := P(center(), center())
+				shapes = append(shapes, Union(
+					Circle{C: c, R: w},
+					Translate(Rect{Min: P(0, 0), Max: P(w, 2*w)}, c.X, c.Y),
+				))
+			}
+		}
+		u := Union(shapes...)
+		got, want := Rasterize(m, u), wholeMeshRegion(m, u)
+		for i := range want {
+			if got[i] != want[i] {
+				ci, cj := m.Coord(i)
+				t.Fatalf("trial %d: cell (%d,%d) rasterized %v, whole-mesh test %v", trial, ci, cj, got[i], want[i])
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"spinwave/internal/vec"
 )
@@ -228,6 +229,40 @@ func RectRegion(m Mesh, x0, y0, x1, y1 float64) Region {
 		}
 	}
 	return r
+}
+
+// DiscCells returns the flat indices of the set cells of r whose centers
+// lie within radius of (cx, cy), in ascending (row-major) order — the
+// cells of an antenna or detector disc. Only the disc's bounding box,
+// padded by one cell, is scanned.
+func (r Region) DiscCells(m Mesh, cx, cy, radius float64) []int {
+	if !(radius >= 0) {
+		return nil
+	}
+	span := func(c, d float64, n int) (lo, hi int) {
+		l := math.Max(0, math.Floor((c-radius)/d)-1)
+		h := math.Min(float64(n-1), math.Ceil((c+radius)/d))
+		if !(l <= h) { // disc off the mesh, or a non-finite center
+			return 0, -1
+		}
+		return int(l), int(h)
+	}
+	i0, i1 := span(cx, m.Dx, m.Nx)
+	j0, j1 := span(cy, m.Dy, m.Ny)
+	var cells []int
+	for j := j0; j <= j1; j++ {
+		for i := i0; i <= i1; i++ {
+			idx := j*m.Nx + i
+			if !r[idx] {
+				continue
+			}
+			x, y := m.CellCenter(i, j)
+			if math.Hypot(x-cx, y-cy) <= radius {
+				cells = append(cells, idx)
+			}
+		}
+	}
+	return cells
 }
 
 // EdgeBand returns the region of set cells of mask lying within width

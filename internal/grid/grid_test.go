@@ -218,3 +218,66 @@ func TestEdgeBand(t *testing.T) {
 		t.Errorf("EdgeBand on empty mask count = %d", got)
 	}
 }
+
+// TestDiscCellsMatchesFullScan checks the bounding-box disc scan against
+// a whole-mesh scan: same cells, same row-major order, for discs inside,
+// straddling and outside the mesh, radii landing exactly on cell centers,
+// and non-finite inputs.
+func TestDiscCellsMatchesFullScan(t *testing.T) {
+	m := MustMesh(23, 17, 1, 0.5, 1) // binary-exact cell sizes
+	r := NewRegion(m)
+	for i := range r {
+		r[i] = i%7 != 3 // holes, so the region mask matters
+	}
+	fullScan := func(cx, cy, radius float64) []int {
+		var cells []int
+		for j := 0; j < m.Ny; j++ {
+			for i := 0; i < m.Nx; i++ {
+				idx := m.Idx(i, j)
+				x, y := m.CellCenter(i, j)
+				if r[idx] && math.Hypot(x-cx, y-cy) <= radius {
+					cells = append(cells, idx)
+				}
+			}
+		}
+		return cells
+	}
+	x0, y0 := m.CellCenter(4, 6)
+	type disc struct{ cx, cy, radius float64 }
+	discs := []disc{
+		{x0, y0, 2 * m.Dx},          // passes exactly through the centers of cells (2,6) and (6,6)
+		{x0, y0, 0},                 // one center
+		{x0 + 0.02, y0, 1.5 * m.Dx}, // off-center
+		{0, 0, 3 * m.Dx},            // mesh corner
+		{m.SizeX(), m.SizeY() / 2, 0.8},
+		{-4, y0, 6},     // center off the mesh, disc reaching in
+		{-100, -100, 1}, // far off the mesh
+		{x0, y0, 100},   // covers the whole mesh
+		{x0, y0, -1},
+		{math.NaN(), y0, 2},
+		{x0, y0, math.NaN()},
+		{math.Inf(1), y0, 2},
+		{x0, math.Inf(-1), 2},
+		{x0, y0, math.Inf(1)},
+	}
+	for k := 0; k < 200; k++ {
+		discs = append(discs, disc{
+			(float64(k%31)/30*1.4 - 0.2) * m.SizeX(),
+			(float64(k%13)/12*1.4 - 0.2) * m.SizeY(),
+			float64(k%9) * 0.5,
+		})
+	}
+	for _, d := range discs {
+		got, want := r.DiscCells(m, d.cx, d.cy, d.radius), fullScan(d.cx, d.cy, d.radius)
+		if len(got) != len(want) {
+			t.Errorf("disc %+v: %d cells, full scan %d", d, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("disc %+v: cell %d is %d, full scan %d", d, i, got[i], want[i])
+				break
+			}
+		}
+	}
+}

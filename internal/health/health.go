@@ -274,6 +274,7 @@ type Monitor struct {
 
 	// Hot-path state, touched only by the solver goroutine.
 	prevT    float64
+	seen     bool // prevT holds an observed step's time
 	firstDt  float64
 	baseE    float64 // first energy sample
 	haveE    bool
@@ -369,8 +370,11 @@ func (m *Monitor) ObserveStep(step int, t float64, mfield vec.Field) {
 	m.lastStep.Store(int64(step))
 
 	// dt tracking: the observed inter-step interval is the solver's
-	// committed dt for both fixed and adaptive runs.
-	if m.prevT > 0 || step > 1 {
+	// committed dt for both fixed and adaptive runs. An interval needs a
+	// previous observation, or step 1 (whose predecessor is t = 0): a
+	// monitor on a resumed solver first sees a later step at the
+	// restored time, and that gap is no step at all.
+	if m.seen || step == 1 {
 		dt := t - m.prevT
 		if m.firstDt == 0 && dt > 0 {
 			m.firstDt = dt
@@ -385,7 +389,7 @@ func (m *Monitor) ObserveStep(step int, t float64, mfield vec.Field) {
 			}
 		}
 	}
-	m.prevT = t
+	m.prevT, m.seen = t, true
 
 	if step%m.cfg.Every == 0 {
 		m.sweep(step, t, mfield)

@@ -212,6 +212,37 @@ func TestDtCollapse(t *testing.T) {
 	m.Finish()
 }
 
+// TestDtAfterResume attaches a monitor to a solver restored mid-run: its
+// first observation is a later step at the restored time, which is no
+// interval, so steady steps stay healthy — and a collapse after the
+// resume still fires.
+func TestDtAfterResume(t *testing.T) {
+	const n = 4
+	f := uniformField(n, vec.Vector{Z: 1})
+	cfg := testConfig()
+	cfg.Every = 1 << 20 // keep field sweeps out of the way
+
+	m := NewMonitor(cfg, fullRegion(n), "rresume")
+	const t0, dt = 5e-9, 1e-12 // restored at step 5000
+	for step := 5001; step <= 5010; step++ {
+		m.ObserveStep(step, t0+float64(step-5000)*dt, f)
+	}
+	if alerts := m.Alerts(); len(alerts) != 0 {
+		t.Fatalf("resumed steady run raised %+v", alerts)
+	}
+	if v := m.Verdict(); v != Healthy {
+		t.Fatalf("verdict %v for a steady resumed run, want Healthy", v)
+	}
+	last := t0 + 10*dt
+	m.ObserveStep(5011, last+dt/1000, f)
+	m.ObserveStep(5012, last+2*dt/1000, f)
+	alerts := m.Alerts()
+	if len(alerts) != 1 || alerts[0].Rule != RuleDt {
+		t.Fatalf("alerts %+v after a post-resume collapse, want one %s", alerts, RuleDt)
+	}
+	m.Finish()
+}
+
 // TestEnergyDrift arms the energy rule with a real field evaluator and
 // feeds it a field whose exchange energy grows — in an undriven damped
 // run that is numerical energy injection and must fire the warn alert.

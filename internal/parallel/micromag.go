@@ -133,7 +133,8 @@ func (p *MicromagXOR) runCase(ctx context.Context, a, b Word) (map[string][]floa
 		if err != nil {
 			return nil, err
 		}
-		cells := p.nodeCells(p.L.Nodes[ni], rAnt)
+		pos := p.L.Nodes[ni].Pos
+		cells := p.Region.DiscCells(p.Mesh, pos.X, pos.Y, rAnt)
 		if len(cells) == 0 {
 			return nil, fmt.Errorf("parallel: antenna %s empty", name)
 		}
@@ -151,7 +152,7 @@ func (p *MicromagXOR) runCase(ctx context.Context, a, b Word) (map[string][]floa
 	probes := map[string]*detect.Probe{}
 	for _, oi := range p.L.Outputs() {
 		n := p.L.Nodes[oi]
-		cells := p.nodeCells(n, rAnt)
+		cells := p.Region.DiscCells(p.Mesh, n.Pos.X, n.Pos.Y, rAnt)
 		pr, err := detect.NewProbe(n.Name, cells)
 		if err != nil {
 			return nil, err
@@ -187,23 +188,6 @@ func (p *MicromagXOR) runCase(ctx context.Context, a, b Word) (map[string][]floa
 		out[name] = amps
 	}
 	return out, nil
-}
-
-func (p *MicromagXOR) nodeCells(n layout.Node, radius float64) []int {
-	var cells []int
-	for j := 0; j < p.Mesh.Ny; j++ {
-		for i := 0; i < p.Mesh.Nx; i++ {
-			idx := p.Mesh.Idx(i, j)
-			if !p.Region[idx] {
-				continue
-			}
-			x, y := p.Mesh.CellCenter(i, j)
-			if math.Hypot(x-n.Pos.X, y-n.Pos.Y) <= radius {
-				cells = append(cells, idx)
-			}
-		}
-	}
-	return cells
 }
 
 // references lazily computes the all-zeros amplitudes per channel. The
